@@ -72,7 +72,7 @@ def main():
     shard_dir = tempfile.mkdtemp(prefix="kivati-shards-")
     supervisor = FleetSupervisor(
         workers=2,
-        policy=FleetPolicy(workers=2, verify=False, collect_journals=False,
+        policy=FleetPolicy(verify=False, collect_journals=False,
                            start_method="fork"))
     fed = federated_train(supervisor, workload.source, config, seed_rounds,
                           shards=2, shard_dir=shard_dir)

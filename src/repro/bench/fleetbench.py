@@ -75,8 +75,7 @@ def generate(workers_list=DEFAULT_WORKERS, scale=0.6, seeds=DEFAULT_SEEDS,
             drilled = type(drilled).from_dict(drilled.as_dict())
             drilled.params["crash"] = {"at_frame": 5, "torn": 1}
             round_specs[0] = drilled
-        policy = FleetPolicy(workers=max(1, workers), verify=False,
-                             collect_journals=crash_drill,
+        policy = FleetPolicy(verify=False, collect_journals=crash_drill,
                              start_method=start_method)
         supervisor = FleetSupervisor(workers=workers, policy=policy)
         result = supervisor.run_jobs(round_specs)

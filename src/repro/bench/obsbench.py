@@ -178,7 +178,7 @@ def digest_identity(scale=DEFAULT_SCALE, seed=0, fleet_jobs=True):
         # into a registry must not perturb the aggregate digest
         specs = app_run_jobs(corpus_config(), seeds=(seed,), scale=scale,
                              prefix="obsbench")
-        policy = FleetPolicy(workers=1, verify=False)
+        policy = FleetPolicy(verify=False)
         digests = []
         for obs in (None, ObsPlane()):
             supervisor = FleetSupervisor(workers=0, policy=policy)

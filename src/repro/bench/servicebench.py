@@ -183,7 +183,7 @@ def _inline_digests(specs):
     # journaling stays ON: the payload's journal_frames stat is part of
     # the digest, and service workers journal every run
     supervisor = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False))
+        workers=0, policy=FleetPolicy(verify=False))
     result = supervisor.run_jobs([s.without_crash_drill() for s in specs])
     assert result.ok, "inline reference failed"
     return sorted(r.digest() for r in result.results.values())

@@ -130,8 +130,7 @@ def _run_suite_fleet(scale, seed, levels, modes, jobs):
     ]
     supervisor = FleetSupervisor(
         workers=jobs,
-        policy=FleetPolicy(workers=jobs, verify=False,
-                           collect_journals=False))
+        policy=FleetPolicy(verify=False, collect_journals=False))
     fleet_result = supervisor.run_jobs(specs)
     failed = [r for r in fleet_result.results.values() if not r.ok]
     if failed:

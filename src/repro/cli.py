@@ -432,8 +432,7 @@ def cmd_fleet_check(args):
                              scale=args.scale)
         supervisor = FleetSupervisor(
             workers=args.workers,
-            policy=FleetPolicy(workers=max(1, args.workers), verify=False,
-                               collect_journals=True,
+            policy=FleetPolicy(verify=False, collect_journals=True,
                                start_method=args.start_method))
         fleet = supervisor.run_jobs(specs)
         print(fleet.describe())
@@ -478,8 +477,7 @@ def cmd_fleet_run(args):
         # scheduling, so any digest drift is a bug)
         from repro.fleet import run_binned_rounds
 
-        policy = FleetPolicy(workers=max(1, args.workers),
-                             verify=not args.no_verify,
+        policy = FleetPolicy(verify=not args.no_verify,
                              start_method=args.start_method)
         supervisor = FleetSupervisor(workers=args.workers, policy=policy)
         outcome = run_binned_rounds(supervisor, specs, rounds=args.rounds,
@@ -502,8 +500,7 @@ def cmd_fleet_run(args):
                          for s in specs))
     if args.crash_drill:
         specs[0].params["crash"] = {"at_frame": 5, "torn": 1}
-    policy = FleetPolicy(workers=max(1, args.workers),
-                         verify=not args.no_verify,
+    policy = FleetPolicy(verify=not args.no_verify,
                          start_method=args.start_method)
     result = FleetSupervisor(workers=args.workers, policy=policy).run_jobs(
         specs)
@@ -513,8 +510,8 @@ def cmd_fleet_run(args):
     status = 0 if result.ok else 1
     if args.check:
         # re-run the same batch inline; the aggregate digest must match
-        inline = FleetSupervisor(workers=0, policy=FleetPolicy(
-            workers=1, verify=False)).run_jobs(
+        inline = FleetSupervisor(
+            workers=0, policy=FleetPolicy(verify=False)).run_jobs(
                 [s.without_crash_drill() for s in specs])
         if inline.aggregate().digest() != aggregate.digest():
             print("FLEET FAIL: aggregate differs from inline reference")
@@ -543,8 +540,7 @@ def cmd_fleet_train(args):
                    for r in range(args.rounds)]
     supervisor = FleetSupervisor(
         workers=args.workers,
-        policy=FleetPolicy(workers=max(1, args.workers), verify=False,
-                           collect_journals=False,
+        policy=FleetPolicy(verify=False, collect_journals=False,
                            start_method=args.start_method))
     fed = federated_train(supervisor, workload.source, config, seed_rounds,
                           shards=args.shards, shard_dir=args.shard_dir)

@@ -10,10 +10,16 @@ service:
 - :mod:`repro.fleet.jobs` — serializable :class:`JobSpec`/:class:`JobResult`
   wire format (config snapshots ride the journal's snapshot codec);
 - :mod:`repro.fleet.worker` — spawn-safe worker loop with a per-process
-  compiled-program cache and per-job on-disk journals;
-- :mod:`repro.fleet.supervisor` — dispatch, heartbeat/exitcode crash
-  detection, torn-journal salvage + bounded retry, queue-depth
-  backpressure reusing :class:`repro.pressure.PressurePolicy` signals;
+  compiled-program cache and per-job on-disk journals, plus the one
+  torn-journal salvage and the one journal verification both pool
+  clients call;
+- :mod:`repro.fleet.pool` — :class:`WarmPool`, the one worker pool:
+  spawn, one-job dispatch, dead-worker detection, recycle (SIGTERM then
+  SIGKILL) and shutdown, shared by fleet batches and
+  :mod:`repro.service`;
+- :mod:`repro.fleet.supervisor` — runs a batch on a short-lived pool:
+  crash and timeout handling, bounded retry, verification shedding at
+  the :class:`repro.pressure.PressurePolicy` shed watermark;
 - :mod:`repro.fleet.merge` — deterministic result aggregation (keyed by
   job id, independent of completion order);
 - :mod:`repro.fleet.shard` — federated whitelist training: per-shard
@@ -26,6 +32,7 @@ from repro.fleet.binning import (BinnedRounds, bin_jobs_by_conflict,
                                  violation_history)
 from repro.fleet.jobs import JobSpec, JobResult, app_run_jobs, detect_jobs
 from repro.fleet.merge import FleetAggregate, aggregate_results
+from repro.fleet.pool import PoolPolicy, WarmPool
 from repro.fleet.shard import (FederatedTrainingResult, federated_train,
                                partition_round_robin)
 from repro.fleet.supervisor import (FleetPolicy, FleetRecovery, FleetResult,
@@ -42,6 +49,8 @@ __all__ = [
     "FleetSupervisor",
     "JobResult",
     "JobSpec",
+    "PoolPolicy",
+    "WarmPool",
     "aggregate_results",
     "app_run_jobs",
     "bin_jobs_by_conflict",

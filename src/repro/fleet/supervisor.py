@@ -1,37 +1,41 @@
 """Fleet supervisor: dispatch, crash recovery, backpressure, aggregation.
 
-The supervisor owns a pool of spawn-safe worker processes (one job
-outstanding per worker, per-worker dispatch queues, one shared result
-queue) and guarantees:
+The supervisor runs each batch on a short-lived
+:class:`repro.fleet.pool.WarmPool` (one job outstanding per worker, the
+same pool the detection service keeps warm) and guarantees:
 
 - **zero lost jobs** — a job is accounted for exactly once: as a
-  completed result, a bounded-retry failure, or an admission rejection;
-- **crash tolerance** — a worker that dies mid-job (detected by
-  exitcode/heartbeat) has its torn journal salvaged via
-  :func:`repro.journal.recovery.salvage`, the salvage journaled as a
-  :class:`FleetRecovery` record, and the job retried on a fresh worker
-  with bounded retries (crash drills are stripped from the retry the
-  same way recovery strips ``journal.crash``);
+  completed result or a bounded-retry failure;
+- **crash tolerance** — a worker that dies mid-job (its process exited)
+  or overruns ``job_timeout_s`` (force-recycled: SIGTERM, then SIGKILL)
+  has its torn journal salvaged via
+  :func:`repro.fleet.worker.salvage_job_journal`, the salvage journaled
+  as a :class:`FleetRecovery` record, and the job retried on a fresh
+  worker with bounded retries (crash drills are stripped from the retry
+  the same way recovery strips ``journal.crash``);
 - **determinism** — results are keyed by job id and merged in sorted
   order, so aggregates are identical for any worker count and any
   completion order;
-- **backpressure** — queue-depth watermarks derived from
-  :meth:`repro.pressure.PressurePolicy.fleet_watermarks` shed the
-  supervisor's own monitoring (per-job replay verification) before they
-  shed jobs, mirroring the in-process admission-control ordering.
+- **backpressure** — the shed watermark from
+  :meth:`repro.pressure.PressurePolicy.fleet_watermarks` sheds the
+  supervisor's own monitoring (per-job replay verification) while the
+  backlog is deep; jobs themselves are never shed.
 """
 
 import os
-import queue as queue_mod
 import tempfile
 import time
 
 from repro.errors import ConfigError, JournalCrash
 from repro.fleet.jobs import JobResult, JobSpec
 from repro.fleet.merge import aggregate_results, worker_utilization
-from repro.fleet.worker import execute_job, job_journal_path, worker_main
-from repro.journal.recovery import salvage
+from repro.fleet.pool import PoolPolicy, WarmPool
+from repro.fleet.worker import (execute_job, salvage_job_journal,
+                                verify_job_journal)
 from repro.pressure.policy import PressurePolicy
+
+#: how long one pump of the pool's result queue waits for a message
+POLL_S = 0.05
 
 
 def _new_usage():
@@ -58,29 +62,23 @@ def _note_window(row, timeline, spec, attempt, worker_id, begun, started,
 
 
 class FleetPolicy:
-    """Supervisor knobs; watermarks derive from a PressurePolicy."""
+    """Supervisor knobs; the verification shed watermark derives from
+    ``pressure`` and the supervisor's worker count."""
 
     __slots__ = ("max_retries", "verify", "collect_journals", "pressure",
-                 "shed_depth", "reject_depth", "start_method", "poll_s",
-                 "job_timeout_s")
+                 "start_method", "job_timeout_s")
 
-    def __init__(self, workers=2, max_retries=2, verify=True,
-                 collect_journals=True, pressure=None, start_method="spawn",
-                 poll_s=0.05, job_timeout_s=None):
+    def __init__(self, max_retries=2, verify=True, collect_journals=True,
+                 pressure=None, start_method="spawn", job_timeout_s=None):
         if max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if start_method not in ("spawn", "fork", "forkserver"):
-            raise ConfigError("unknown start method %r" % (start_method,))
         self.max_retries = max_retries
         self.verify = verify
         self.collect_journals = collect_journals
         self.pressure = pressure if pressure is not None else PressurePolicy()
-        self.shed_depth, self.reject_depth = \
-            self.pressure.fleet_watermarks(max(1, workers))
         self.start_method = start_method
-        self.poll_s = poll_s
         #: optional wall-clock bound per job attempt; a worker that
-        #: exceeds it is terminated and handled like a crash
+        #: exceeds it is force-recycled and handled like a crash
         self.job_timeout_s = job_timeout_s
 
 
@@ -88,8 +86,8 @@ class FleetStats:
     """Supervisor-side accounting (fleet health, not job content)."""
 
     FIELDS = ("jobs_submitted", "jobs_completed", "jobs_failed",
-              "jobs_rejected", "jobs_retried", "workers_spawned",
-              "workers_crashed", "workers_timed_out", "verifications",
+              "jobs_retried", "workers_spawned", "workers_crashed",
+              "workers_timed_out", "verifications",
               "verification_failures", "verifications_shed",
               "frames_salvaged")
 
@@ -141,18 +139,6 @@ class FleetRecovery:
         return "FleetRecovery(%s, %s)" % (self.job_id, self.action)
 
 
-class FleetRejection:
-    """A job shed at admission (queue depth above the reject
-    watermark). Rejections are returned, never silently dropped."""
-
-    __slots__ = ("spec", "depth", "reason")
-
-    def __init__(self, spec, depth, reason):
-        self.spec = spec
-        self.depth = depth
-        self.reason = reason
-
-
 class FleetResult:
     """Everything one batch produced, aggregation-ready.
 
@@ -162,16 +148,13 @@ class FleetResult:
     from aggregate digests, which must stay worker-count independent.
     """
 
-    __slots__ = ("results", "recoveries", "rejections", "stats",
-                 "elapsed_s", "workers", "completion_order",
-                 "worker_usage", "timeline")
+    __slots__ = ("results", "recoveries", "stats", "elapsed_s", "workers",
+                 "completion_order", "worker_usage", "timeline")
 
-    def __init__(self, results, recoveries, rejections, stats, elapsed_s,
-                 workers, completion_order, worker_usage=None,
-                 timeline=None):
+    def __init__(self, results, recoveries, stats, elapsed_s, workers,
+                 completion_order, worker_usage=None, timeline=None):
         self.results = results            # job_id -> JobResult
         self.recoveries = list(recoveries)
-        self.rejections = list(rejections)
         self.stats = stats
         self.elapsed_s = elapsed_s
         self.workers = workers
@@ -182,7 +165,6 @@ class FleetResult:
     @property
     def ok(self):
         return (all(r.ok for r in self.results.values())
-                and not self.rejections
                 and self.stats.verification_failures == 0)
 
     @property
@@ -204,12 +186,11 @@ class FleetResult:
                  % (len(self.results), self.workers, self.elapsed_s,
                     self.jobs_per_sec, "" if self.ok else " [PROBLEMS]")]
         stats = self.stats
-        lines.append("  completed=%d failed=%d retried=%d rejected=%d "
+        lines.append("  completed=%d failed=%d retried=%d "
                      "crashed_workers=%d verified=%d (shed %d, failed %d)"
                      % (stats.jobs_completed, stats.jobs_failed,
-                        stats.jobs_retried, stats.jobs_rejected,
-                        stats.workers_crashed, stats.verifications,
-                        stats.verifications_shed,
+                        stats.jobs_retried, stats.workers_crashed,
+                        stats.verifications, stats.verifications_shed,
                         stats.verification_failures))
         for worker_id, row in sorted(self.utilization().items()):
             lines.append("  worker %s: %d job(s) in %d dispatch(es), "
@@ -223,23 +204,8 @@ class FleetResult:
         return "\n".join(lines)
 
 
-class _Worker:
-    """Supervisor-side handle for one worker process."""
-
-    __slots__ = ("worker_id", "process", "job_queue", "journal_dir",
-                 "inflight", "dispatched_at")
-
-    def __init__(self, worker_id, process, job_queue, journal_dir):
-        self.worker_id = worker_id
-        self.process = process
-        self.job_queue = job_queue
-        self.journal_dir = journal_dir
-        self.inflight = None        # (JobSpec, attempt) or None
-        self.dispatched_at = None
-
-
 class FleetSupervisor:
-    """Dispatches job batches over a spawn-safe worker pool.
+    """Dispatches job batches over a short-lived worker pool.
 
     ``workers=0`` executes inline in this process (no multiprocessing):
     same job semantics, same salvage+retry handling for crash drills,
@@ -251,10 +217,15 @@ class FleetSupervisor:
         if workers < 0:
             raise ConfigError("workers must be >= 0")
         self.workers = workers
-        self.policy = policy if policy is not None else FleetPolicy(
-            workers=workers)
+        self.policy = policy if policy is not None else FleetPolicy()
+        self.shed_depth = self.policy.pressure.fleet_watermarks(
+            max(1, workers))[0]
+        self._pool_policy = None
+        if workers:
+            self._pool_policy = PoolPolicy(
+                workers=workers, start_method=self.policy.start_method,
+                collect_journals=self.policy.collect_journals)
         self._journal_root = journal_root
-        self._owns_journal_root = journal_root is None
 
     def journal_root(self):
         if self._journal_root is None:
@@ -265,14 +236,11 @@ class FleetSupervisor:
     # public API
     # ------------------------------------------------------------------
 
-    def run_jobs(self, specs, reject_overflow=False):
+    def run_jobs(self, specs):
         """Execute a batch; returns a :class:`FleetResult`.
 
-        With ``reject_overflow`` the admission-control reject watermark
-        applies at submission (service posture: a caller pushing an
-        unbounded batch gets explicit rejections back); without it the
-        whole batch is accepted and backpressure only sheds supervisor
-        monitoring (batch posture — jobs are never dropped).
+        The whole batch is accepted: backpressure only sheds supervisor
+        monitoring, never jobs.
         """
         specs = [spec if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
                  for spec in specs]
@@ -282,27 +250,16 @@ class FleetSupervisor:
                 raise ConfigError("duplicate job_id %r" % spec.job_id)
             seen.add(spec.job_id)
         stats = FleetStats()
-        admitted = []
-        rejections = []
-        for spec in specs:
-            depth = len(admitted)
-            if reject_overflow and depth >= self.policy.reject_depth:
-                rejections.append(FleetRejection(
-                    spec, depth, "queue depth %d >= reject watermark %d"
-                    % (depth, self.policy.reject_depth)))
-                stats.jobs_rejected += 1
-                continue
-            admitted.append(spec)
-        stats.jobs_submitted = len(admitted)
+        stats.jobs_submitted = len(specs)
         started = time.perf_counter()
         if self.workers == 0:
             results, recoveries, order, usage, timeline = \
-                self._run_inline(admitted, stats, started)
+                self._run_inline(specs, stats, started)
         else:
             results, recoveries, order, usage, timeline = \
-                self._run_pool(admitted, stats, started)
+                self._run_pool(specs, stats, started)
         elapsed = time.perf_counter() - started
-        return FleetResult(results, recoveries, rejections, stats, elapsed,
+        return FleetResult(results, recoveries, stats, elapsed,
                            self.workers, order, worker_usage=usage,
                            timeline=timeline)
 
@@ -349,130 +306,81 @@ class FleetSupervisor:
         return results, recoveries, order, usage, timeline
 
     # ------------------------------------------------------------------
-    # multi-process execution
+    # multi-process execution: a batch client of the shared pool
     # ------------------------------------------------------------------
 
     def _run_pool(self, specs, stats, started):
-        import multiprocessing as mp
-
-        ctx = mp.get_context(self.policy.start_method)
-        result_queue = ctx.Queue()
-        workers = {}
+        pool = WarmPool(self._pool_policy, self.journal_root())
         usage = {}
         timeline = []
-        next_id = [0]
-
-        def spawn_worker():
-            worker_id = "w%d" % next_id[0]
-            next_id[0] += 1
-            journal_dir = os.path.join(self.journal_root(), worker_id)
-            os.makedirs(journal_dir, exist_ok=True)
-            job_queue = ctx.Queue()
-            process = ctx.Process(
-                target=worker_main,
-                args=(worker_id, job_queue, result_queue,
-                      journal_dir if self.policy.collect_journals else None),
-                daemon=True)
-            process.start()
-            workers[worker_id] = _Worker(worker_id, process, job_queue,
-                                         journal_dir)
-            usage[worker_id] = _new_usage()
-            stats.workers_spawned += 1
-            return worker_id
-
-        for _ in range(self.workers):
-            spawn_worker()
-
         results = {}
         recoveries = []
         order = []
         pending = list(reversed([(spec, 0) for spec in specs]))
 
-        def dispatch():
-            for worker in workers.values():
-                if not pending:
-                    return
-                if worker.inflight is None and worker.process.is_alive():
-                    spec, attempt = pending.pop()
-                    worker.inflight = (spec, attempt)
-                    worker.dispatched_at = time.perf_counter()
-                    usage[worker.worker_id]["attempts"] += 1
-                    worker.job_queue.put(spec.as_dict())
-
-        def handle_dead(worker, reason):
+        def replace(worker, reason):
+            """Recycle a dead or overdue worker; salvage and retry (or
+            fail) the job it held."""
             spec, attempt = worker.inflight
             worker.inflight = None
             _note_window(usage[worker.worker_id], timeline, spec, attempt,
                          worker.worker_id, worker.dispatched_at, started,
                          reason)
             stats.workers_crashed += 1
-            use_dir = (worker.journal_dir if self.policy.collect_journals
-                       else None)
+            usage[pool.recycle(worker, force=True).worker_id] = _new_usage()
             recovery, retry = self._handle_crash(
                 spec, attempt, worker_id=worker.worker_id,
                 exitcode=worker.process.exitcode, reason=reason,
-                journal_dir=use_dir, stats=stats, results=results)
+                journal_dir=worker.journal_dir, stats=stats,
+                results=results)
             recoveries.append(recovery)
             if retry is not None:
                 pending.append(retry)
-            del workers[worker.worker_id]
-            spawn_worker()
 
         try:
-            while pending or any(w.inflight is not None
-                                 for w in workers.values()):
-                dispatch()
-                try:
-                    tag, worker_id, body = result_queue.get(
-                        timeout=self.policy.poll_s)
-                except queue_mod.Empty:
-                    for worker in list(workers.values()):
-                        if worker.inflight is None:
-                            continue
-                        if not worker.process.is_alive():
-                            handle_dead(worker, "crash")
-                        elif (self.policy.job_timeout_s is not None
-                              and time.perf_counter() - worker.dispatched_at
-                              > self.policy.job_timeout_s):
-                            worker.process.terminate()
-                            worker.process.join(timeout=5.0)
+            pool.start()
+            for worker_id in pool.workers:
+                usage[worker_id] = _new_usage()
+            while pending or any(not w.idle for w in pool.workers.values()):
+                for worker in pool.idle_workers()[:len(pending)]:
+                    spec, attempt = pending.pop()
+                    usage[worker.worker_id]["attempts"] += 1
+                    pool.dispatch(worker, spec.as_dict(), (spec, attempt))
+                tag, worker, body = pool.poll(POLL_S)
+                if worker is not None and tag == "claim":
+                    usage[worker.worker_id]["claims"] += 1
+                elif (worker is not None and tag == "done"
+                        and not worker.idle
+                        and body["job_id"] == worker.inflight[0].job_id):
+                    spec, attempt = worker.inflight
+                    worker.inflight = None
+                    result = self._record_result(
+                        body, spec, attempt, worker.worker_id, stats,
+                        backlog=len(pending))
+                    _note_window(usage[worker.worker_id], timeline, spec,
+                                 attempt, worker.worker_id,
+                                 worker.dispatched_at, started,
+                                 "ok" if result.ok else "failed",
+                                 completed=True)
+                    results[spec.job_id] = result
+                    order.append(spec.job_id)
+                for worker in pool.dead_workers():
+                    if worker.idle:
+                        usage[pool.recycle(worker, force=True)
+                              .worker_id] = _new_usage()
+                    else:
+                        replace(worker, "crash")
+                timeout = self.policy.job_timeout_s
+                if timeout is not None:
+                    now = time.perf_counter()
+                    for worker in list(pool.workers.values()):
+                        if (not worker.idle
+                                and now - worker.dispatched_at > timeout):
                             stats.workers_timed_out += 1
-                            handle_dead(worker, "timeout")
-                    continue
-                if tag == "claim":
-                    row = usage.get(worker_id)
-                    if row is not None:
-                        row["claims"] += 1
-                    continue
-                if tag == "bye":
-                    continue
-                worker = workers.get(worker_id)
-                if worker is None or worker.inflight is None:
-                    continue  # stale message from a replaced worker
-                spec, attempt = worker.inflight
-                if body["job_id"] != spec.job_id:
-                    continue
-                worker.inflight = None
-                result = self._record_result(
-                    body, spec, attempt, worker_id, stats,
-                    backlog=len(pending))
-                _note_window(usage[worker_id], timeline, spec, attempt,
-                             worker_id, worker.dispatched_at, started,
-                             "ok" if result.ok else "failed",
-                             completed=True)
-                results[spec.job_id] = result
-                order.append(spec.job_id)
+                            replace(worker, "timeout")
         finally:
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    worker.job_queue.put(None)
-            deadline = time.perf_counter() + 5.0
-            for worker in workers.values():
-                worker.process.join(
-                    timeout=max(0.1, deadline - time.perf_counter()))
-                if worker.process.is_alive():
-                    worker.process.terminate()
-            result_queue.cancel_join_thread()
+            pool.stop()
+            stats.workers_spawned = pool.workers_spawned
         return results, recoveries, order, usage, timeline
 
     # ------------------------------------------------------------------
@@ -487,19 +395,8 @@ class FleetSupervisor:
         exhausted the job is recorded as a failed result — accounted
         for, never lost.
         """
-        frames = 0
-        torn = False
-        consistent = True
-        journal_path = None
-        if journal_dir is not None:
-            journal_path = job_journal_path(journal_dir, spec.job_id)
-            if os.path.exists(journal_path):
-                salvaged = salvage(journal_path)
-                frames = len(salvaged.events)
-                torn = salvaged.torn
-                consistent = (salvaged.state is None
-                              or salvaged.state.consistent)
-                stats.frames_salvaged += frames
+        salvaged = salvage_job_journal(journal_dir, spec.job_id)
+        stats.frames_salvaged += salvaged.frames
         if attempt < self.policy.max_retries:
             action = "retried"
             stats.jobs_retried += 1
@@ -511,11 +408,12 @@ class FleetSupervisor:
                 spec.job_id, spec.kind, False, None,
                 error="worker %s after %d attempts" % (reason, attempt + 1),
                 worker_id=worker_id, attempt=attempt,
-                journal_path=journal_path)
+                journal_path=salvaged.journal_path)
             retry = None
         return (FleetRecovery(spec.job_id, worker_id, attempt, exitcode,
-                              reason, frames, torn, consistent, action,
-                              journal_path),
+                              reason, salvaged.frames, salvaged.torn,
+                              salvaged.consistent, action,
+                              salvaged.journal_path),
                 retry)
 
     def _record_result(self, raw, spec, attempt, worker_id, stats,
@@ -538,24 +436,15 @@ class FleetSupervisor:
                 or result.journal_path is None
                 or spec.kind not in ("run", "fuzz")):
             return
-        if backlog >= self.policy.shed_depth:
+        if backlog >= self.shed_depth:
             result.verify_shed = True
             stats.verifications_shed += 1
             return
-        from repro.fleet.worker import cached_program
-        from repro.journal.replay import replay_run
-
         stats.verifications += 1
-        try:
-            replay = replay_run(cached_program(spec.source),
-                                result.journal_path,
-                                drop_fault_points=("journal.crash",))
-            result.verified = replay.ok and replay.verdicts_match
-        except Exception:
-            result.verified = False
+        result.verified = verify_job_journal(spec.source, result.journal_path)
         if not result.verified:
             stats.verification_failures += 1
 
 
-__all__ = ["FleetPolicy", "FleetRecovery", "FleetRejection", "FleetResult",
-           "FleetStats", "FleetSupervisor"]
+__all__ = ["FleetPolicy", "FleetRecovery", "FleetResult", "FleetStats",
+           "FleetSupervisor"]

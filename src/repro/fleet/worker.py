@@ -1,35 +1,40 @@
-"""Spawn-safe fleet worker, shared by the fleet batch plane and the
-long-lived detection service.
+"""Spawn-safe worker, shared by fleet batches and the detection service.
 
-``worker_main`` is the entry point the supervisor passes to
-``multiprocessing.Process`` — a module-level function so it survives the
-``spawn`` start method (no closures, no lambdas, nothing that needs the
-parent's memory image).  All work flows through :func:`execute_job`,
-which is also what the supervisor calls directly for inline
-(``workers=0``) execution, so the two paths cannot drift.
+``worker_main`` is the entry point :class:`repro.fleet.pool.WarmPool`
+passes to ``multiprocessing.Process`` — a module-level function so it
+survives the ``spawn`` start method (no closures, no lambdas, nothing
+that needs the parent's memory image).  All work flows through
+:func:`execute_job`, which is also what the supervisor calls directly
+for inline (``workers=0``) execution, so the two paths cannot drift.
 
 Workers are crash-transparent by design: a job whose spec carries a
 ``crash`` drill dies via ``os._exit`` the instant the ``journal.crash``
-fault point fires — no cleanup, no result message, exactly like a
-SIGKILL — leaving a torn on-disk journal for the supervisor to salvage.
-A ``poison`` drill kills the worker on *every* attempt (hostile input
+fault point fires — no cleanup, no result message, like a SIGKILL —
+leaving a torn on-disk journal for the pool's client to salvage (it
+does flush the claim it already queued; see ``worker_main``).  A
+``poison`` drill kills the worker on *every* attempt (hostile input
 that no retry survives); a ``stall_s`` drill wedges the worker mid-job
 with a fresh heartbeat, modeling a live-but-stuck process.
 
-SIGTERM, by contrast, is a *managed* kill (supervisor timeout, pool
-recycle, operator): the handler closes the active journal frame-clean
-before exiting so salvage sees a clean tail whenever the signal lands
-between frames.
+SIGTERM, by contrast, is a *managed* kill (job timeout, pool recycle,
+operator): the handler closes the active journal frame-clean before
+exiting so salvage sees a clean tail whenever the signal lands between
+frames.
 
-Warm-worker support for ``repro.service``: a queue item of
-``{"op": "warm", "sources": [...], "whitelists": [...]}`` pre-compiles
-workload programs into the per-process cache and pre-reads whitelist
-files, so the first real request pays neither import nor compile cost.
-Every message a worker emits carries ``rss_kb`` and ``jobs_served`` so
-the pool can recycle workers against an RSS ceiling or a jobs cap, and
-an idle worker heartbeats every ``heartbeat_s`` seconds.
+Both pool clients — the fleet supervisor and the service daemon — read
+a finished or dead job's journal through the same two helpers here:
+:func:`salvage_job_journal` after a worker died mid-job, and
+:func:`verify_job_journal` to re-verify a completed run.
+
+A queue item of ``{"op": "warm", "sources": [...]}`` pre-compiles
+workload programs into the per-process cache, so the first real request
+pays neither import nor compile cost.  Every message a worker emits
+carries ``rss_kb`` and ``jobs_served`` so the pool can recycle workers
+against an RSS ceiling or a jobs cap, and an idle worker heartbeats
+every ``heartbeat_s`` seconds.
 """
 
+import collections
 import json
 import os
 import queue as queue_mod
@@ -43,6 +48,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.jobs import JobSpec
 from repro.journal.format import JournalWriter
 from repro.journal.recorder import JournalRecorder
+from repro.journal.recovery import salvage
 from repro.journal.snapshot import config_from_snapshot, source_digest
 
 #: exit status a worker uses to die mid-job during a crash drill;
@@ -104,25 +110,60 @@ def _sigterm_handler(signum, frame):
     os._exit(TERM_EXIT_STATUS)
 
 
-def warm_worker(sources=(), whitelists=()):
-    """Pre-compile programs and pre-read whitelist files; returns counts.
+def warm_worker(sources=()):
+    """Pre-compile programs into the per-process cache; returns a count.
 
     Compilation is pure per source text, so warming is a correctness
     no-op — it only moves the cost off the first request's latency.
     """
-    from repro.runtime.whitelist import read_whitelist_ids
-
-    programs = 0
     for source in sources:
         cached_program(source)
-        programs += 1
-    whitelist_ids = 0
-    for path in whitelists:
-        try:
-            whitelist_ids += len(read_whitelist_ids(path).ids)
-        except OSError:
-            pass  # a missing file warms nothing; runs re-read anyway
-    return {"programs_warmed": programs, "whitelist_ids": whitelist_ids}
+    return {"programs_warmed": len(sources)}
+
+
+#: what salvage recovered from a dead worker's per-job journal
+JobSalvage = collections.namedtuple(
+    "JobSalvage", "journal_path frames torn consistent",
+    defaults=(None, 0, False, True))
+
+
+def salvage_job_journal(journal_dir, job_id):
+    """Salvage the journal a worker left for ``job_id`` when it died.
+
+    Returns a :class:`JobSalvage`; with journaling off (``journal_dir``
+    None) or no journal on disk it reports zero frames.
+    """
+    if journal_dir is None:
+        return JobSalvage()
+    journal_path = job_journal_path(journal_dir, job_id)
+    if not os.path.exists(journal_path):
+        return JobSalvage(journal_path)
+    salvaged = salvage(journal_path)
+    return JobSalvage(journal_path, len(salvaged.events), salvaged.torn,
+                      salvaged.state is None or salvaged.state.consistent)
+
+
+def verify_job_journal(source, journal_path, backend="replay"):
+    """Re-verify a completed run's journal; True iff it holds up.
+
+    ``"replay"`` re-executes ``source`` pinned to the journal and
+    demands identical verdicts; ``"checker"`` streams the journal
+    through the offline checker without re-executing, and its
+    ``agrees`` claim demands an intact journal and identical verdict
+    multisets.  Any error while verifying counts as a failed
+    verification.
+    """
+    from repro.journal.checker import check_journal
+    from repro.journal.replay import replay_run
+
+    try:
+        if backend == "checker":
+            return bool(check_journal(journal_path).agrees)
+        replay = replay_run(cached_program(source), journal_path,
+                            drop_fault_points=("journal.crash",))
+        return bool(replay.ok and replay.verdicts_match)
+    except Exception:
+        return False
 
 
 def _config_for(spec):
@@ -349,7 +390,7 @@ def worker_main(worker_id, job_queue, result_queue, journal_dir,
                 heartbeat_s=None):
     """Worker loop: claim, execute, report; ``None`` is the shutdown
     sentinel.  The claim message doubles as the heartbeat that lets the
-    supervisor attribute a crashed worker's in-flight job; with
+    pool's client attribute a crashed worker's in-flight job; with
     ``heartbeat_s`` set, an idle worker also emits periodic ``hb``
     messages so the pool can watch liveness and RSS between jobs."""
     if journal_dir is not None:
@@ -366,8 +407,7 @@ def worker_main(worker_id, job_queue, result_queue, journal_dir,
             result_queue.put(("bye", worker_id, _worker_meta(jobs_served)))
             return
         if isinstance(item, dict) and item.get("op") == "warm":
-            warmed = warm_worker(item.get("sources", ()),
-                                 item.get("whitelists", ()))
+            warmed = warm_worker(item.get("sources", ()))
             body = _worker_meta(jobs_served)
             body.update(warmed)
             result_queue.put(("warmed", worker_id, body))
@@ -380,7 +420,12 @@ def worker_main(worker_id, job_queue, result_queue, journal_dir,
             result = execute_job(item, journal_dir=journal_dir)
         except JournalCrash:
             # simulate the kill: no result, no cleanup, nonzero status;
-            # the torn journal stays on disk for the supervisor
+            # the torn journal stays on disk for the pool's client. The
+            # claim is flushed first: the result queue's write lock is
+            # shared by every worker, and exiting while this process's
+            # feeder thread still holds it would wedge the whole pool
+            result_queue.close()
+            result_queue.join_thread()
             os._exit(CRASH_EXIT_STATUS)
         jobs_served += 1
         result["worker_id"] = worker_id
@@ -388,6 +433,7 @@ def worker_main(worker_id, job_queue, result_queue, journal_dir,
         result_queue.put(("done", worker_id, result))
 
 
-__all__ = ["CRASH_EXIT_STATUS", "TERM_EXIT_STATUS", "cached_program",
-           "execute_job", "job_journal_path", "parse_spec", "warm_worker",
+__all__ = ["CRASH_EXIT_STATUS", "JobSalvage", "TERM_EXIT_STATUS",
+           "cached_program", "execute_job", "job_journal_path", "parse_spec",
+           "salvage_job_journal", "verify_job_journal", "warm_worker",
            "worker_main", "worker_rss_kb"]

@@ -23,7 +23,7 @@ from repro.bench.scale import corpus_config
 from repro.core.config import Mode
 from repro.core.session import ProtectedProgram
 from repro.fleet.jobs import JobSpec
-from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
+from repro.fleet.supervisor import FleetSupervisor
 from repro.fuzz.archive import archive_case, case_name, salvage_corpus
 from repro.fuzz.generator import FuzzParams, generate_source
 from repro.fuzz.minimize import minimize
@@ -420,20 +420,18 @@ def _merge_fleet(parts):
 
     results = {}
     recoveries = []
-    rejections = []
     stats = FleetStats()
     elapsed = 0.0
     order = []
     for part in parts:
         results.update(part.results)
         recoveries.extend(part.recoveries)
-        rejections.extend(part.rejections)
         for name in FleetStats.FIELDS:
             setattr(stats, name,
                     getattr(stats, name) + getattr(part.stats, name))
         elapsed += part.elapsed_s
         order.extend(part.completion_order)
-    return FleetResult(results, recoveries, rejections, stats, elapsed,
+    return FleetResult(results, recoveries, stats, elapsed,
                        parts[-1].workers, order)
 
 
@@ -479,9 +477,7 @@ def run_campaign(spec, log=None):
     programs = generate_programs(spec)
     by_id = {prog.program_id: prog for prog in programs}
     job_specs = build_specs(spec, programs)
-    supervisor = FleetSupervisor(
-        workers=spec.workers,
-        policy=FleetPolicy(workers=spec.workers))
+    supervisor = FleetSupervisor(workers=spec.workers)
     fleet, history = _run_fleet_rounds(supervisor, job_specs,
                                        max(1, spec.rounds), log)
     log("fleet: %s" % fleet.describe())

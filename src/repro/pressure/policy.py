@@ -93,15 +93,16 @@ class PressurePolicy:
 
     def fleet_watermarks(self, workers):
         """Queue-depth watermarks for fleet-level backpressure
-        (repro.fleet.supervisor), derived from the same signal this
-        policy uses in-process: ``suspended_watermark`` is "how much
-        queued-behind-the-plane work is tolerable per execution unit".
+        (repro.fleet.supervisor, repro.service.daemon), derived from the
+        same signal this policy uses in-process: ``suspended_watermark``
+        is "how much queued-behind-the-plane work is tolerable per
+        execution unit".
 
         Returns ``(shed_depth, reject_depth)`` in pending jobs: at
-        ``shed_depth`` the supervisor sheds *monitoring* (per-job replay
-        verification) first; only at ``reject_depth`` does it shed jobs
-        themselves — the same monitoring-before-correctness ordering as
-        in-process admission control.
+        ``shed_depth`` both shed *monitoring* (per-job replay
+        verification) first; only at ``reject_depth`` does the daemon
+        refuse new submissions — the same monitoring-before-correctness
+        ordering as in-process admission control.
         """
         per_worker = max(1, self.suspended_watermark)
         shed = per_worker * max(1, workers)

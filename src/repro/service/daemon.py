@@ -2,7 +2,8 @@
 
 The daemon accepts JSON-framed requests over a Unix-domain socket
 (:mod:`repro.service.protocol`) and executes ``JobSpec`` s on a
-:class:`repro.service.pool.WarmPool`. Robustness is the design center —
+:class:`repro.fleet.pool.WarmPool` (the pool fleet batches run on too)
+kept warm for the daemon's whole life. Robustness is the design center —
 every layer assumes the layer below it will fail:
 
 - **deadlines** — each request carries a wall-clock deadline (default
@@ -14,7 +15,8 @@ every layer assumes the layer below it will fail:
   retried on a fresh warm worker after an exponentially growing
   backoff, at most ``max_retries`` times, with the recoverable drills
   stripped exactly like fleet crash recovery; the dead worker's torn
-  journal is salvaged via :func:`repro.journal.recovery.salvage` first;
+  journal is salvaged first, through the same
+  :func:`repro.fleet.worker.salvage_job_journal` the fleet uses;
 - **poison-job quarantine** — a request that kills ``poison_kills``
   workers is answered with a structured ``poison`` error and its spec
   digest quarantined: resubmissions are rejected at admission without
@@ -50,12 +52,11 @@ import time
 
 from repro.errors import ConfigError, ProtocolError
 from repro.fleet.jobs import JobSpec
-from repro.fleet.worker import job_journal_path
-from repro.journal.recovery import salvage
+from repro.fleet.pool import PoolPolicy, WarmPool
+from repro.fleet.worker import salvage_job_journal, verify_job_journal
 from repro.pressure.policy import PressurePolicy
 from repro.service.protocol import (error_response, ok_response, recv_frame,
                                     send_frame)
-from repro.service.pool import PoolPolicy, WarmPool
 
 #: job kinds a service request may carry; ``suite`` payloads are live
 #: pickled objects and cannot cross the JSON wire
@@ -66,16 +67,14 @@ class ServicePolicy:
     """Every robustness knob of the daemon in one place."""
 
     __slots__ = ("workers", "start_method", "heartbeat_s", "rss_limit_kb",
-                 "max_jobs_per_worker", "collect_journals", "warm_sources",
-                 "warm_whitelists", "default_deadline_s", "max_retries",
-                 "retry_backoff_s", "backoff_cap_s", "poison_kills",
-                 "verify", "verify_backend", "pressure", "shed_depth",
-                 "reject_depth", "poll_s")
+                 "max_jobs_per_worker", "warm_sources", "default_deadline_s",
+                 "max_retries", "retry_backoff_s", "backoff_cap_s",
+                 "poison_kills", "verify", "verify_backend", "pressure",
+                 "shed_depth", "reject_depth", "poll_s")
 
     def __init__(self, workers=2, start_method="spawn", heartbeat_s=1.0,
                  rss_limit_kb=None, max_jobs_per_worker=None,
-                 collect_journals=True, warm_sources=(), warm_whitelists=(),
-                 default_deadline_s=30.0, max_retries=2,
+                 warm_sources=(), default_deadline_s=30.0, max_retries=2,
                  retry_backoff_s=0.05, backoff_cap_s=1.0, poison_kills=2,
                  verify=True, verify_backend="replay", pressure=None,
                  poll_s=0.02):
@@ -94,9 +93,7 @@ class ServicePolicy:
         self.heartbeat_s = heartbeat_s
         self.rss_limit_kb = rss_limit_kb
         self.max_jobs_per_worker = max_jobs_per_worker
-        self.collect_journals = collect_journals
         self.warm_sources = tuple(warm_sources)
-        self.warm_whitelists = tuple(warm_whitelists)
         self.default_deadline_s = default_deadline_s
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -115,13 +112,13 @@ class ServicePolicy:
         self.poll_s = poll_s
 
     def pool_policy(self):
+        # the service always journals: salvage and verification read
+        # the per-job journals
         return PoolPolicy(
             workers=self.workers, start_method=self.start_method,
             heartbeat_s=self.heartbeat_s, rss_limit_kb=self.rss_limit_kb,
             max_jobs_per_worker=self.max_jobs_per_worker,
-            collect_journals=self.collect_journals,
-            warm_sources=self.warm_sources,
-            warm_whitelists=self.warm_whitelists)
+            warm_sources=self.warm_sources)
 
     def backoff_for(self, attempt):
         """Exponential backoff before retry ``attempt`` (1-based)."""
@@ -553,10 +550,6 @@ class KivatiDaemon:
             self._verify_cond.notify()
 
     def _verify_loop(self):
-        from repro.fleet.worker import cached_program
-        from repro.journal.checker import check_journal
-        from repro.journal.replay import replay_run
-
         while True:
             with self._verify_cond:
                 while not self._verify_queue and not self._verify_stop:
@@ -567,20 +560,9 @@ class KivatiDaemon:
                     continue
                 request, body = self._verify_queue.popleft()
             self.stats.verifications += 1
-            try:
-                if self.policy.verify_backend == "checker":
-                    # no re-execution: stream the journal through the
-                    # offline checker; the strong `agrees` claim demands
-                    # an intact journal and identical verdict multisets
-                    verified = check_journal(body["journal_path"]).agrees
-                else:
-                    replay = replay_run(cached_program(request.spec.source),
-                                        body["journal_path"],
-                                        drop_fault_points=("journal.crash",))
-                    verified = replay.ok and replay.verdicts_match
-            except Exception:
-                verified = False
-            if not verified:
+            if not verify_job_journal(request.spec.source,
+                                      body["journal_path"],
+                                      backend=self.policy.verify_backend):
                 self.stats.verification_failures += 1
                 self._log_event("verify-failure",
                                 job_id=request.spec.job_id,
@@ -626,21 +608,14 @@ class KivatiDaemon:
             request = worker.inflight
             worker.inflight = None
             self.stats.workers_crashed += 1
-            frames = 0
-            torn = False
-            if worker.journal_dir is not None and request is not None:
-                path = job_journal_path(worker.journal_dir,
-                                        request.spec.job_id)
-                if os.path.exists(path):
-                    salvaged = salvage(path)
-                    frames = len(salvaged.events)
-                    torn = salvaged.torn
-                    self.stats.frames_salvaged += frames
+            job_id = request.spec.job_id if request else None
+            salvaged = salvage_job_journal(
+                worker.journal_dir if request else None, job_id)
+            self.stats.frames_salvaged += salvaged.frames
             self._log_event(
                 "recovery", worker_id=worker.worker_id,
-                exitcode=worker.process.exitcode,
-                job_id=request.spec.job_id if request else None,
-                frames_salvaged=frames, torn=torn)
+                exitcode=worker.process.exitcode, job_id=job_id,
+                frames_salvaged=salvaged.frames, torn=salvaged.torn)
             self.stats.workers_recycled += 1
             self.pool.recycle(worker, force=True)
             if request is None:

@@ -64,11 +64,11 @@ def test_binned_two_worker_run_matches_unbinned_inline(tmp_path):
     aggregate digest equals the unbinned inline reference."""
     specs = _specs()
     inline = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False),
+        workers=0, policy=FleetPolicy(verify=False),
         journal_root=str(tmp_path / "inline")).run_jobs(specs)
     binned, _ = bin_jobs_by_conflict(_specs())
     pool = FleetSupervisor(
-        workers=2, policy=FleetPolicy(workers=2, start_method="fork"),
+        workers=2, policy=FleetPolicy(start_method="fork"),
         journal_root=str(tmp_path / "binned")).run_jobs(binned)
     assert pool.ok
     assert pool.aggregate().digest() == inline.aggregate().digest()
@@ -94,7 +94,7 @@ def test_run_binned_rounds_rebins_with_live_history(tmp_path):
     identical because rebinning is pure scheduling."""
     specs = _specs()
     supervisor = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False),
+        workers=0, policy=FleetPolicy(verify=False),
         journal_root=str(tmp_path))
     outcome = run_binned_rounds(supervisor, specs, rounds=2)
     assert len(outcome.rounds) == 2

@@ -19,7 +19,7 @@ def test_fleet_detects_all_corpus_bugs(tmp_path):
     assert len(specs) == len(BUGS) == 11
     supervisor = FleetSupervisor(
         workers=0,
-        policy=FleetPolicy(workers=1, verify=False, collect_journals=False),
+        policy=FleetPolicy(verify=False, collect_journals=False),
         journal_root=str(tmp_path))
     result = supervisor.run_jobs(specs)
     assert result.ok

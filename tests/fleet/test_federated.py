@@ -38,7 +38,7 @@ def serial(workload, config):
 def _inline_supervisor(tmp_path):
     return FleetSupervisor(
         workers=0,
-        policy=FleetPolicy(workers=1, verify=False, collect_journals=False),
+        policy=FleetPolicy(verify=False, collect_journals=False),
         journal_root=str(tmp_path))
 
 
@@ -91,7 +91,7 @@ def test_federated_through_real_worker_pool(workload, config, serial,
                                             tmp_path):
     supervisor = FleetSupervisor(
         workers=2,
-        policy=FleetPolicy(workers=2, verify=False, collect_journals=False,
+        policy=FleetPolicy(verify=False, collect_journals=False,
                            start_method="fork"),
         journal_root=str(tmp_path))
     fed = federated_train(supervisor, workload.source, config, ROUNDS,

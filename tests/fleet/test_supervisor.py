@@ -1,5 +1,5 @@
 """Supervisor tests: inline reference, real worker pools, crash
-recovery, admission control.
+recovery, verification shedding.
 
 Multi-process tests use the ``fork`` start method: these workers import
 nothing lazily that fork would miss, and fork keeps the pool cheap
@@ -14,6 +14,7 @@ from repro.bench.scale import bench_config
 from repro.core.config import Mode
 from repro.fleet.jobs import JobSpec, app_run_jobs
 from repro.fleet.supervisor import (FleetPolicy, FleetSupervisor)
+from repro.fleet.worker import CRASH_EXIT_STATUS
 from repro.pressure.policy import PressurePolicy
 
 
@@ -22,9 +23,9 @@ def _specs(seeds=(3,), scale=0.15):
                         scale=scale)
 
 
-def _fork_policy(workers, **kwargs):
+def _fork_policy(**kwargs):
     kwargs.setdefault("start_method", "fork")
-    return FleetPolicy(workers=workers, **kwargs)
+    return FleetPolicy(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def inline_reference(tmp_path_factory):
     """One inline pass over the standard batch, shared by the tests that
     compare against it."""
     supervisor = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False),
+        workers=0, policy=FleetPolicy(verify=False),
         journal_root=str(tmp_path_factory.mktemp("inline-ref")))
     return supervisor.run_jobs(_specs())
 
@@ -57,7 +58,7 @@ def test_duplicate_job_ids_rejected():
 
 
 def test_two_worker_pool_matches_inline(inline_reference, tmp_path):
-    supervisor = FleetSupervisor(workers=2, policy=_fork_policy(2),
+    supervisor = FleetSupervisor(workers=2, policy=_fork_policy(),
                                  journal_root=str(tmp_path))
     result = supervisor.run_jobs(_specs())
     assert result.ok
@@ -72,7 +73,7 @@ def test_two_worker_pool_matches_inline(inline_reference, tmp_path):
 def test_crash_drill_salvage_retry_zero_lost(inline_reference, tmp_path):
     specs = [JobSpec.from_dict(s.as_dict()) for s in _specs()]
     specs[0].params["crash"] = {"at_frame": 5, "torn": 1}
-    supervisor = FleetSupervisor(workers=2, policy=_fork_policy(2),
+    supervisor = FleetSupervisor(workers=2, policy=_fork_policy(),
                                  journal_root=str(tmp_path))
     result = supervisor.run_jobs(specs)
     stats = result.stats
@@ -98,7 +99,7 @@ def test_inline_crash_drill_matches_pool_semantics(inline_reference,
     specs = [JobSpec.from_dict(s.as_dict()) for s in _specs()]
     specs[2].params["crash"] = {"at_frame": 5, "torn": 1}
     supervisor = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False),
+        workers=0, policy=FleetPolicy(verify=False),
         journal_root=str(tmp_path))
     result = supervisor.run_jobs(specs)
     assert result.stats.jobs_retried == 1
@@ -113,7 +114,7 @@ def test_retries_exhausted_is_failed_result_not_lost(tmp_path):
     specs[0].params["crash"] = {"at_frame": 5, "torn": 1}
     supervisor = FleetSupervisor(
         workers=0,
-        policy=FleetPolicy(workers=1, verify=False, max_retries=0),
+        policy=FleetPolicy(verify=False, max_retries=0),
         journal_root=str(tmp_path))
     result = supervisor.run_jobs(specs)
     assert not result.ok
@@ -129,7 +130,7 @@ def test_broken_job_fails_without_killing_worker(tmp_path):
     bad = JobSpec("bad", "run", "this is not mini-C {",
                   _specs()[0].snapshot, seed=1)
     good = _specs()[:1]
-    supervisor = FleetSupervisor(workers=1, policy=_fork_policy(1),
+    supervisor = FleetSupervisor(workers=1, policy=_fork_policy(),
                                  journal_root=str(tmp_path))
     result = supervisor.run_jobs([bad] + good)
     assert not result.results["bad"].ok
@@ -142,10 +143,10 @@ def test_verification_shed_before_jobs(tmp_path):
     # watermark of 1 job: with 5 pending, verification sheds but every
     # job still runs — monitoring degrades first, work never does
     pressure = PressurePolicy(suspended_watermark=1)
-    policy = FleetPolicy(workers=1, verify=True, pressure=pressure)
-    assert policy.shed_depth == 1
+    policy = FleetPolicy(verify=True, pressure=pressure)
     supervisor = FleetSupervisor(workers=0, policy=policy,
                                  journal_root=str(tmp_path))
+    assert supervisor.shed_depth == 1
     result = supervisor.run_jobs(_specs())
     assert len(result.results) == 5
     assert all(r.ok for r in result.results.values())
@@ -156,22 +157,6 @@ def test_verification_shed_before_jobs(tmp_path):
     assert len(shed) == result.stats.verifications_shed
 
 
-def test_reject_watermark_sheds_jobs_explicitly(tmp_path):
-    pressure = PressurePolicy(suspended_watermark=1)
-    policy = FleetPolicy(workers=1, verify=False, pressure=pressure)
-    assert policy.reject_depth == 4
-    supervisor = FleetSupervisor(workers=0, policy=policy,
-                                 journal_root=str(tmp_path))
-    specs = _specs()
-    result = supervisor.run_jobs(specs, reject_overflow=True)
-    assert len(result.rejections) == 1
-    assert result.stats.jobs_rejected == 1
-    assert len(result.results) == 4
-    assert not result.ok  # rejections are never silent
-    rejected_ids = {r.spec.job_id for r in result.rejections}
-    assert rejected_ids == {specs[-1].job_id}
-
-
 def test_fleet_watermarks_scale_with_workers():
     pressure = PressurePolicy(suspended_watermark=3)
     shed1, reject1 = pressure.fleet_watermarks(1)
@@ -179,3 +164,43 @@ def test_fleet_watermarks_scale_with_workers():
     assert shed4 == 4 * shed1
     assert reject1 == 4 * shed1
     assert reject4 == 4 * shed4
+
+
+def test_pool_retries_exhausted_is_failed_result_not_lost(tmp_path):
+    # the pool-mode twin of the inline test above: a real worker dies on
+    # the crash drill and max_retries=0 leaves no retry
+    specs = [JobSpec.from_dict(s.as_dict()) for s in _specs()[:2]]
+    specs[0].params["crash"] = {"at_frame": 5, "torn": 1}
+    supervisor = FleetSupervisor(
+        workers=1, policy=_fork_policy(verify=False, max_retries=0),
+        journal_root=str(tmp_path))
+    result = supervisor.run_jobs(specs)
+    assert not result.ok
+    assert sorted(result.results) == sorted(s.job_id for s in specs)
+    failed = result.results[specs[0].job_id]
+    assert not failed.ok
+    assert "crash" in failed.error
+    (recovery,) = result.recoveries
+    assert recovery.action == "failed"
+    assert recovery.exitcode == CRASH_EXIT_STATUS
+    assert recovery.torn and recovery.frames_salvaged > 0
+    assert result.results[specs[1].job_id].ok
+    assert result.stats.workers_crashed == 1
+    assert result.stats.workers_spawned == 2  # 1 initial + 1 replacement
+
+
+def test_pool_usage_and_timeline_cover_every_worker(tmp_path):
+    supervisor = FleetSupervisor(workers=2,
+                                 policy=_fork_policy(verify=False),
+                                 journal_root=str(tmp_path))
+    result = supervisor.run_jobs(_specs())
+    assert result.ok
+    usage = result.worker_usage
+    assert len(usage) == result.stats.workers_spawned == 2
+    for row in usage.values():
+        assert row["attempts"] >= 1
+        assert row["claims"] == row["attempts"]
+    assert sum(row["jobs"] for row in usage.values()) == 5
+    assert len(result.timeline) == 5
+    assert {entry["worker_id"] for entry in result.timeline} == set(usage)
+    assert all(entry["status"] == "ok" for entry in result.timeline)

@@ -26,7 +26,7 @@ def _batch(stuck_job="stuck"):
 def timed_out_result(tmp_path_factory):
     supervisor = FleetSupervisor(
         workers=2,
-        policy=FleetPolicy(workers=2, start_method="fork", verify=False,
+        policy=FleetPolicy(start_method="fork", verify=False,
                            job_timeout_s=1.0, max_retries=2),
         journal_root=str(tmp_path_factory.mktemp("fleet-timeout")))
     return supervisor.run_jobs(_batch())
@@ -57,7 +57,7 @@ def test_timeout_recovery_is_journaled(timed_out_result):
 def test_timed_out_batch_matches_serial_answers(timed_out_result,
                                                 tmp_path):
     inline = FleetSupervisor(
-        workers=0, policy=FleetPolicy(workers=1, verify=False),
+        workers=0, policy=FleetPolicy(verify=False),
         journal_root=str(tmp_path)).run_jobs(
             [s.without_crash_drill() for s in _batch()])
     assert inline.ok
@@ -74,7 +74,7 @@ def test_repeatedly_stuck_job_fails_after_bounded_retries(tmp_path):
     stuck.params["stall_s"] = 60.0
     supervisor = FleetSupervisor(
         workers=1,
-        policy=FleetPolicy(workers=1, start_method="fork", verify=False,
+        policy=FleetPolicy(start_method="fork", verify=False,
                            job_timeout_s=0.8, max_retries=0),
         journal_root=str(tmp_path))
     result = supervisor.run_jobs([stuck])

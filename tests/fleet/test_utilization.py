@@ -14,7 +14,7 @@ def _specs(scale=0.05):
 
 
 def _inline_run(specs):
-    policy = FleetPolicy(workers=1, verify=False)
+    policy = FleetPolicy(verify=False)
     return FleetSupervisor(workers=0, policy=policy).run_jobs(specs)
 
 
